@@ -353,8 +353,11 @@ void MulQuantOp::compute(const ITensor& x, ITensor& out) const {
 IntConv2dOp::IntConv2dOp(ITensor weight, ConvSpec spec)
     : weight_(std::move(weight)), spec_(spec) {
   spec_.validate();
-  check(weight_.rank() == 4 && weight_.size(0) == spec_.out_channels,
-        "IntConv2dOp: weight shape mismatch");
+  // Packing and the kernels read out * (in / groups) * k * k weights.
+  check(weight_.rank() == 4 && weight_.size(0) == spec_.out_channels &&
+            weight_.size(1) == spec_.in_channels / spec_.groups &&
+            weight_.size(2) == spec_.kernel && weight_.size(3) == spec_.kernel,
+        "IntConv2dOp: weight must be [out, in/groups, k, k]");
 }
 
 ITensor IntConv2dOp::run(const std::vector<const ITensor*>& ins) const {

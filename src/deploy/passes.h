@@ -60,7 +60,8 @@ std::size_t pass_dve(DeployModel& dm);
 /// list. Purely an annotation pass — the graph structure, op count, and
 /// every audit artifact are untouched; the ExecutionPlan reads the
 /// annotations at compile time. Returns the number of ops switched to a
-/// narrow kernel.
+/// narrow kernel. Runs at the end of the opt-level-2 pipeline and at the
+/// end of load_checkpoint, on the host that loads the file.
 std::size_t pass_select_solvers(DeployModel& dm);
 
 /// Outcome of one pass over one graph.

@@ -331,7 +331,8 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
   check(p_.wqkv.size(0) == 3 * d, "IntAttentionOp: wqkv must be [3D, D]");
   check(p_.wproj.size(0) == d && p_.wproj.size(1) == d,
         "IntAttentionOp: wproj must be [D, D]");
-  check(d % p_.heads == 0, "IntAttentionOp: heads must divide dim");
+  check(p_.heads > 0 && d % p_.heads == 0,
+        "IntAttentionOp: heads must be positive and divide dim");
   check(p_.qkv_mul.size() == static_cast<std::size_t>(3 * d) &&
             p_.qkv_bias.size() == p_.qkv_mul.size(),
         "IntAttentionOp: qkv requant arity mismatch");

@@ -90,6 +90,32 @@ TEST(IntOps, ConvLinearAddPoolsAgainstReference) {
   EXPECT_EQ(gap.run(ins5)[0], 10);
 }
 
+TEST(IntOps, ConvRejectsWeightThatDoesNotMatchItsSpec) {
+  // Rank and out-channels agree, but the packer would read 2 * 3 * 3 * 3
+  // weights from a tensor that holds 2 * 1 * 3 * 3.
+  ConvSpec s;
+  s.in_channels = 3;
+  s.out_channels = 2;
+  EXPECT_THROW(IntConv2dOp(ITensor({2, 1, 3, 3}), s), Error);
+  EXPECT_THROW(IntConv2dOp(ITensor({2, 3, 3, 1}), s), Error);
+  s.groups = 3;
+  s.out_channels = 3;
+  EXPECT_NO_THROW(IntConv2dOp(ITensor({3, 1, 3, 3}), s));
+}
+
+TEST(IntOps, AttentionRejectsZeroHeads) {
+  IntAttentionParams p;
+  p.heads = 0;  // the d % heads check used to divide by it
+  p.wqkv = ITensor({6, 2});
+  p.wproj = ITensor({2, 2});
+  p.qkv_mul = p.qkv_bias = std::vector<std::int64_t>(6, 1);
+  p.proj_mul = p.proj_bias = std::vector<std::int64_t>(2, 1);
+  p.softmax_lut = {255, 1};
+  EXPECT_THROW(IntAttentionOp{p}, Error);
+  p.heads = 2;
+  EXPECT_NO_THROW(IntAttentionOp{p});
+}
+
 TEST(IntOps, TokenizeMatchesPatchLayout) {
   TokenizeOp tok;
   ITensor x({1, 2, 1, 2});  // C=2, T=2

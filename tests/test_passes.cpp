@@ -807,5 +807,51 @@ TEST(PlanGolden, VitPlanMatchesGoldenText) {
   check_plan_golden(convert_at(trained_vit(), 2), "plan_vit.txt");
 }
 
+/// `dm` after a save_checkpoint / load_checkpoint round trip.
+DeployModel reload(const DeployModel& dm, const std::string& name) {
+  const std::string p = ::testing::TempDir() + "/t2c_reload_" + name;
+  save_checkpoint(dm, p);
+  return load_checkpoint(p);
+}
+
+// The file carries no kernel names: the loader binds the same solvers the
+// converter chose, so the reloaded plans render exactly like the goldens.
+TEST(PlanGolden, ReloadedResnetPlanMatchesGoldenText) {
+  check_plan_golden(reload(convert_at(trained_resnet(), 2), "resnet.t2c"),
+                    "plan_resnet20.txt");
+}
+
+TEST(PlanGolden, ReloadedVitPlanMatchesGoldenText) {
+  check_plan_golden(reload(convert_at(trained_vit(), 2), "vit.t2c"),
+                    "plan_vit.txt");
+}
+
+TEST(PassesE2E, Opt0CheckpointSelectsNarrowSolversOnLoad) {
+  const ThreadGuard guard;
+  Trained& t = trained_resnet();
+  const DeployModel dm0 = convert_at(t, 0);
+  const DeployModel r = reload(dm0, "resnet_opt0.t2c");
+  const auto narrow = [](const DeployModel& dm) {
+    int n = 0;
+    for (std::size_t i = 0; i < dm.num_ops(); ++i) {
+      if (const auto* cv = dynamic_cast<const IntConv2dOp*>(&dm.op(i))) {
+        n += cv->kernel().rfind("gemm_i8", 0) == 0 ? 1 : 0;
+      }
+    }
+    return n;
+  };
+  EXPECT_EQ(narrow(dm0), 0) << "opt 0 skips selection at convert";
+  EXPECT_GT(narrow(r), 0) << "load binds narrow solvers at any opt level";
+
+  par::set_max_threads(1);
+  const ITensor q = dm0.quantize_input(test_batch(t, 3));
+  const ITensor ref = dm0.run_int(q);
+  for (const int threads : {1, 4}) {
+    par::set_max_threads(threads);
+    expect_bit_identical(ref, r.run_int(q),
+                         "reloaded opt0 @" + std::to_string(threads));
+  }
+}
+
 }  // namespace
 }  // namespace t2c

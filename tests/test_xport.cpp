@@ -190,6 +190,78 @@ TEST(Checkpoint, RejectsCorruptFiles) {
   EXPECT_THROW((void)load_checkpoint(p), Error);
 }
 
+/// Loads a checkpoint holding `text` after its header and requires an
+/// Error whose message contains every string in `needles`.
+void expect_file_error(const std::string& text,
+                       const std::vector<std::string>& needles) {
+  const std::string p = tmp_path("malformed.t2c");
+  std::ofstream(p) << "T2C-DEPLOY-V1\ninput 1 0 -127 127\n" << text;
+  try {
+    (void)load_checkpoint(p);
+    ADD_FAILURE() << "loaded without error:\n" << text;
+  } catch (const Error& e) {
+    for (const auto& n : needles) {
+      EXPECT_NE(std::string(e.what()).find(n), std::string::npos)
+          << "'" << e.what() << "' does not name '" << n << "'";
+    }
+  }
+}
+
+/// expect_file_error for a graph of the single op `op_text`.
+void expect_load_error(const std::string& op_text,
+                       const std::vector<std::string>& needles) {
+  expect_file_error("output 1 1\nops 1\n" + op_text, needles);
+}
+
+TEST(Checkpoint, RejectsInputCountThatDoesNotMatchTheKind) {
+  expect_load_error("op IntAdd x 1 0\n-127 127\n",
+                    {"op #0 (IntAdd)", "input count", "expected 2"});
+  expect_load_error("op IntLinear fc 2 0 0\n2 1 1\n5\n",
+                    {"op #0 (IntLinear)", "input count", "expected 1"});
+  expect_load_error("op IntLinear fc 2147483647 0\n",
+                    {"op #0 (IntLinear)", "input count"});
+}
+
+TEST(Checkpoint, BoundsListsAndShapesByTheBytesLeft) {
+  expect_load_error("op MulQuant m 1 0\n-127 127 0 0\n-3\n",
+                    {"op #0 (MulQuant)", "mul", "negative length"});
+  expect_load_error("op MulQuant m 1 0\n-127 127 0 0\n1 7\n99999999999 0\n",
+                    {"bias", "bytes left"});
+  expect_load_error("op IntLinear fc 1 0\n2 524287 524287\n1 2 3\n",
+                    {"op #0 (IntLinear)", "weight", "bytes left"});
+  expect_load_error("op IntLinear fc 1 0\n2 -4 4\n",
+                    {"weight", "negative dimension"});
+  expect_load_error("op IntLinear fc 1 0\n9 1 1 1 1 1 1 1 1 1\n",
+                    {"weight", "rank 9"});
+}
+
+TEST(Checkpoint, NamesTheFieldOfTruncatedOrBadParameters) {
+  expect_load_error("op IntAdd x 2 0 0\n-127\n", {"IntAdd", "out_max"});
+  expect_load_error("op MulQuant m 1 0\n-127 127 7 0\n1 7\n1 0\n1 8\n",
+                    {"MulQuant", "layout"});
+  expect_load_error("op IntConv2d c 1 0\n3 4 3 1 1\n",
+                    {"IntConv2d", "groups"});
+  expect_load_error("op Bogus b 1 0\n", {"'Bogus' is unknown"});
+  expect_file_error("output 1 2\nops 1\nop IntAdd x 2 0 0\n-127 127\n",
+                    {"output id", "names no value"});
+  expect_file_error("output 1 1\nops -1\n", {"ops", "negative length"});
+}
+
+TEST(Checkpoint, RejectsConvWeightThatDoesNotMatchItsSpec) {
+  // The spec promises [2, 3, 1, 1]; the stored tensor holds [2, 1, 1, 1],
+  // fewer than the packer would read.
+  expect_load_error("op IntConv2d c 1 0\n3 2 1 1 0 1\n4 2 1 1 1\n1 2\n",
+                    {"IntConv2dOp", "[out, in/groups, k, k]"});
+}
+
+TEST(Checkpoint, RejectsAttentionWithZeroHeads) {
+  expect_load_error(
+      "op IntAttention a 1 0\n0 16 8 -127 127 1 255 0 -127 127 -127 127\n"
+      "2 6 2\n1 0 0 1 1 0 0 1 1 0 0 1\n6 1 1 1 1 1 1\n6 0 0 0 0 0 0\n"
+      "2 255 1\n2 2 2\n1 0 0 1\n2 1 1\n2 0 0\n",
+      {"IntAttentionOp", "heads must be positive"});
+}
+
 class ExportedModel : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -18,18 +18,19 @@
 // with T2C_BENCH_PMU on the hardware counter tier) is the per-rep IPC
 // coefficient of variation — an unstable IPC means the machine moved, not
 // the code, so the window widens. delta = new/old - 1 beyond +window is
-// `regressed`, beyond -window is `improved`, inside is `noise`. Rows that
-// carry a "kernel" tag on both sides and disagree are classified `added`:
-// a solver switch (e.g. gemm_i64_tiled -> gemm_i8_fused_avx512, whether
-// from a registry reorder or a new tuning-cache winner) is a new
-// measurement, not a delta of the old one.
+// `regressed`, beyond -window is `improved`, inside is `noise`. Rows are
+// matched by name only. A row whose "kernel" tag changed (a solver switch
+// such as gemm_i64_tiled -> gemm_i8_fused_avx512, from a registry reorder,
+// a new tuning-cache winner or load-time solver binding) is still
+// classified by its timing, so a switch that gets slower reads
+// `regressed`; the table prints the tag change next to the verdict.
 //
 // Output is a markdown table (stdout, or --markdown PATH). Exit status: 0
 // when nothing regressed, 1 when any row regressed (suppressed by --soft
 // for machines where wall time is not trustworthy), 2 on usage or parse
 // errors. --selftest runs the classifier against synthetic documents
-// (injected 20% slowdown => regressed, small jitter => noise) and needs no
-// input files.
+// (injected 20% slowdown => regressed, small jitter => noise, a kernel
+// switch that got slower => regressed) and needs no input files.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -70,6 +71,7 @@ struct Verdict {
   double delta = 0.0;   ///< new/old - 1
   double window = 0.0;  ///< relative, symmetric
   std::string klass;    ///< improved | regressed | noise | added | removed
+  std::string kernel;   ///< "old -> new" on a tag change, else the tag
 };
 
 double num_or(const JsonValue& row, const char* key, double fallback) {
@@ -142,15 +144,10 @@ std::vector<Verdict> classify(const std::map<std::string, RowStat>& olds,
       continue;
     }
     v.new_ms = it->second.stat_ms;
-    if (!o.kernel.empty() && !it->second.kernel.empty() &&
-        o.kernel != it->second.kernel) {
-      // Same row name, different code path: the old timing measured a
-      // kernel that no longer runs, so there is nothing to regress
-      // against — restart the row's history.
-      v.klass = "added";
-      out.push_back(std::move(v));
-      continue;
-    }
+    v.kernel = o.kernel == it->second.kernel
+                   ? o.kernel
+                   : (o.kernel.empty() ? "-" : o.kernel) + " -> " +
+                         (it->second.kernel.empty() ? "-" : it->second.kernel);
     v.window = window_of(o, it->second, opt);
     v.delta = o.stat_ms > 0.0 ? v.new_ms / v.old_ms - 1.0 : 0.0;
     if (v.delta > v.window) {
@@ -167,6 +164,7 @@ std::vector<Verdict> classify(const std::map<std::string, RowStat>& olds,
     Verdict v;
     v.key = key;
     v.new_ms = n.stat_ms;
+    v.kernel = n.kernel;
     v.klass = "added";
     out.push_back(std::move(v));
   }
@@ -175,8 +173,8 @@ std::vector<Verdict> classify(const std::map<std::string, RowStat>& olds,
 
 std::string markdown_table(const std::vector<Verdict>& verdicts) {
   std::ostringstream os;
-  os << "| bench/row | old ms | new ms | delta | window | verdict |\n";
-  os << "|---|---:|---:|---:|---:|---|\n";
+  os << "| bench/row | kernel | old ms | new ms | delta | window | verdict |\n";
+  os << "|---|---|---:|---:|---:|---:|---|\n";
   char buf[256];
   for (const Verdict& v : verdicts) {
     const auto cell = [&](double ms) {
@@ -186,14 +184,15 @@ std::string markdown_table(const std::vector<Verdict>& verdicts) {
     };
     const std::string old_cell = cell(v.old_ms);
     const std::string new_cell = cell(v.new_ms);
+    const char* kernel = v.kernel.empty() ? "-" : v.kernel.c_str();
     if (v.klass == "added" || v.klass == "removed") {
-      std::snprintf(buf, sizeof(buf), "| %s | %s | %s | - | - | %s |\n",
-                    v.key.c_str(), old_cell.c_str(), new_cell.c_str(),
+      std::snprintf(buf, sizeof(buf), "| %s | %s | %s | %s | - | - | %s |\n",
+                    v.key.c_str(), kernel, old_cell.c_str(), new_cell.c_str(),
                     v.klass.c_str());
     } else {
       std::snprintf(buf, sizeof(buf),
-                    "| %s | %s | %s | %+.1f%% | ±%.1f%% | %s |\n",
-                    v.key.c_str(), old_cell.c_str(), new_cell.c_str(),
+                    "| %s | %s | %s | %s | %+.1f%% | ±%.1f%% | %s |\n",
+                    v.key.c_str(), kernel, old_cell.c_str(), new_cell.c_str(),
                     100.0 * v.delta, 100.0 * v.window, v.klass.c_str());
     }
     os << buf;
@@ -238,22 +237,26 @@ int selftest(const Options& opt) {
     }
     return out + "}";
   };
-  // old: five stable rows. new: slow regressed 20%; jitter moved 3%;
+  // old: six stable rows. new: slow regressed 20%; jitter moved 3%;
   // shifted moved 20% but with wildly unstable IPC (machine, not code);
-  // fast improved 30%; switched improved 4x but on a different kernel
-  // tag, so its history restarts instead of reading as an improvement.
+  // fast improved 30%; switched got 4x faster on a new kernel tag and
+  // slower_switch 4x slower on one: a tag change is judged by its timing.
   const JsonValue olds = doc(row("slow", 10.0, 10.2, 0.05, 0.01) + "," +
                              row("jitter", 5.0, 5.1, 0.04, 0.01) + "," +
                              row("shifted", 8.0, 8.1, 0.05, 0.01) + "," +
                              row("fast", 20.0, 20.3, 0.1, 0.01) + "," +
                              row("switched", 8.0, 8.1, 0.05, 0.01,
-                                 "gemm_i64"));
+                                 "gemm_i64") + "," +
+                             row("slower_switch", 2.0, 2.1, 0.02, 0.01,
+                                 "gemm_i8_fused"));
   const JsonValue news = doc(row("slow", 12.0, 12.2, 0.05, 0.01) + "," +
                              row("jitter", 5.15, 5.3, 0.04, 0.01) + "," +
                              row("shifted", 9.6, 9.8, 0.05, 0.08) + "," +
                              row("fast", 14.0, 14.2, 0.1, 0.01) + "," +
                              row("switched", 2.0, 2.1, 0.02, 0.01,
                                  "gemm_i8_fused") + "," +
+                             row("slower_switch", 8.0, 8.1, 0.05, 0.01,
+                                 "gemm_i64") + "," +
                              row("brand_new", 1.0, 1.0, 0.01, 0.0));
   const std::vector<Verdict> vs =
       classify(load_rows(olds, "old"), load_rows(news, "new"), opt);
@@ -275,9 +278,10 @@ int selftest(const Options& opt) {
   expect("jitter", "noise");
   expect("shifted", "noise");
   expect("fast", "improved");
-  expect("switched", "added");
+  expect("switched", "improved");
+  expect("slower_switch", "regressed");
   expect("brand_new", "added");
-  std::printf(failures == 0 ? "selftest OK (6 cases)\n"
+  std::printf(failures == 0 ? "selftest OK (7 cases)\n"
                             : "selftest: %d failure(s)\n",
               failures);
   return failures == 0 ? 0 : 1;
