@@ -12,7 +12,6 @@
 #include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/pmu.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -121,10 +120,9 @@ class Pool {
     // after the pool was built.
     const std::string wname = "pool.worker." + std::to_string(part);
     obs::name_current_thread(wname);
-    // Eagerly create this worker's telemetry and flight rings so the
-    // first recorded event inside a pooled region never allocates (and a
-    // postmortem can name the thread).
-    obs::telemetry_register_thread();
+    // Eagerly claim this worker's event ring so the first recorded event
+    // inside a pooled region never allocates (and a postmortem can name
+    // the thread). An exiting worker releases the ring for the next one.
     obs::flight_register_thread(wname.c_str());
     std::uint64_t seen = 0;
     for (;;) {

@@ -30,10 +30,10 @@ namespace t2c {
 /// the generation (and disables collection), so a stale handle is
 /// re-resolved instead of dereferenced. add() must only be called while
 /// metrics or telemetry are enabled; each sink is gated on its own flag
-/// inside. The live plane gets the same counts as a kSaturation event on
-/// the `deploy.sat.<kind>[:<label>]` series, attributed to the current
-/// request (telemetry keys are interned once and never invalidated, so
-/// that handle needs no generation tag).
+/// inside. The event stream (obs/flight.h) gets the same counts as a
+/// kSaturation event on the `deploy.sat.<kind>[:<label>]` series,
+/// attributed to the current request (interned keys are never
+/// invalidated, so that handle needs no generation tag).
 class SatCounterCache {
  public:
   void add(const char* kind, const std::string& label, std::int64_t sat) const;
@@ -44,8 +44,6 @@ class SatCounterCache {
   mutable std::atomic<obs::Counter*> op_{nullptr};
   mutable std::atomic<obs::Counter*> total_{nullptr};
   // ~0 = unresolved (interned ids start at 0).
-  mutable std::atomic<std::uint32_t> tele_key_{~std::uint32_t{0}};
-  // Same series name in the flight recorder's signal-safe key table.
   mutable std::atomic<std::uint32_t> flight_key_{~std::uint32_t{0}};
 };
 

@@ -116,7 +116,6 @@ ExecutionPlan ExecutionPlan::compile(const DeployModel& dm) {
     const std::string series =
         "deploy.step." + op.kind() +
         (op.label.empty() ? "" : ":" + op.label);
-    p.tele_keys_.push_back(obs::telemetry_key(series));
     p.flight_keys_.push_back(obs::flight_key(series.c_str()));
   }
   // Pair each fuse-annotated GEMM with its consuming MulQuant. The pass
@@ -247,17 +246,13 @@ ITensor ExecutionPlan::execute(const DeployModel& dm, const ITensor& input,
         sample = obs::pmu_delta(pmu_self0, pmu_self1);
         sample.accumulate(obs::pmu_delta(pmu_acc0, pmu_acc1));
       }
-      if (tele) {
-        // Series key was interned at compile time; the record is a fixed
-        // 32-byte event pushed into this thread's ring (or dropped).
-        obs::telemetry_record(obs::TeleKind::kStep, tele_keys_[si], ms);
-        obs::telemetry_note_step(flight_keys_[si]);
-      }
-      if (fly) {
-        // Black-box copy of the same step: overwriting ring, so a crash
-        // seconds later still shows what this thread was executing.
+      if (tele || fly) {
+        // Series key was interned at compile time; the record is one
+        // fixed-size event in this thread's overwriting ring, read by the
+        // telemetry aggregator and by a crash postmortem alike.
         obs::flight_record(obs::FlightKind::kStep, flight_keys_[si], ms);
       }
+      if (tele) obs::telemetry_note_step(flight_keys_[si]);
       // The legacy pillars key by string; telemetry-only runs skip the
       // concatenation and stay allocation-free per step.
       std::string key;

@@ -554,14 +554,16 @@ void IntAddOp::compute(const ITensor& a, const ITensor& b,
 IntMaxPool2dOp::IntMaxPool2dOp(int kernel, int stride, int padding)
     : kernel_(kernel), stride_(stride), padding_(padding) {
   check(kernel > 0 && stride > 0 && padding >= 0, "IntMaxPool2d: geometry");
+  check(padding < kernel, "IntMaxPool2d: padding must be smaller than kernel");
 }
 
 ITensor IntMaxPool2dOp::run(const std::vector<const ITensor*>& ins) const {
   const ITensor& x = only_input(ins, "IntMaxPool2d");
   check(x.rank() == 4, "IntMaxPool2d: input must be NCHW");
   const std::int64_t n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-  const std::int64_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
-  const std::int64_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
+  const std::int64_t pad2 = 2 * static_cast<std::int64_t>(padding_);
+  const std::int64_t oh = (h + pad2 - kernel_) / stride_ + 1;
+  const std::int64_t ow = (w + pad2 - kernel_) / stride_ + 1;
   check(oh > 0 && ow > 0, "IntMaxPool2d: output would be empty");
   ITensor out({n, c, oh, ow});
   // One task per (image, channel) plane; max is order-independent.

@@ -48,8 +48,7 @@ std::int64_t max_abs_row_sum(const ITensor& w) {
   for (std::int64_t r = 0; r < rows; ++r) {
     std::int64_t acc = 0;
     for (std::int64_t i = r * per; i < (r + 1) * per; ++i) {
-      acc = sat_add(acc, w[i] < 0 ? sat_i64(-static_cast<__int128>(w[i]))
-                                  : w[i]);
+      acc = sat_add(acc, abs_sat(w[i]));
     }
     best = std::max(best, acc);
   }
@@ -63,17 +62,13 @@ ValueRange clamp_range(std::int64_t lo_pre, std::int64_t hi_pre,
 
 /// Largest magnitude inside a value range (kI64Min/kI64Max-safe).
 std::int64_t range_abs(const ValueRange& r) {
-  const std::int64_t alo =
-      r.lo == kI64Min ? kI64Max : (r.lo < 0 ? -r.lo : r.lo);
-  const std::int64_t ahi =
-      r.hi == kI64Min ? kI64Max : (r.hi < 0 ? -r.hi : r.hi);
-  return std::max(alo, ahi);
+  return std::max(abs_sat(r.lo), abs_sat(r.hi));
 }
 
 std::int64_t max_abs_elem(const ITensor& w) {
   std::int64_t m = 0;
   for (std::int64_t i = 0; i < w.numel(); ++i) {
-    m = std::max(m, w[i] < 0 ? sat_i64(-static_cast<__int128>(w[i])) : w[i]);
+    m = std::max(m, abs_sat(w[i]));
   }
   return m;
 }

@@ -43,10 +43,7 @@ std::int64_t isqrt64(std::int64_t v) {
 
 /// Largest magnitude inside a clamp window [lo, hi] (overflow-safe).
 std::int64_t abs_bound(std::int64_t lo, std::int64_t hi) {
-  const std::int64_t alo = lo == std::numeric_limits<std::int64_t>::min()
-                               ? std::numeric_limits<std::int64_t>::max()
-                               : (lo < 0 ? -lo : lo);
-  return std::max(alo, hi < 0 ? -hi : hi);
+  return std::max(abs_sat(lo), abs_sat(hi));
 }
 
 #if T2C_LN_AVX512
@@ -341,10 +338,10 @@ IntAttentionOp::IntAttentionOp(IntAttentionParams params)
         "IntAttentionOp: proj requant arity mismatch");
   check(!p_.softmax_lut.empty(), "IntAttentionOp: missing softmax LUT");
   for (std::int64_t i = 0; i < p_.wqkv.numel(); ++i) {
-    wq_max_ = std::max(wq_max_, p_.wqkv[i] < 0 ? -p_.wqkv[i] : p_.wqkv[i]);
+    wq_max_ = std::max(wq_max_, abs_sat(p_.wqkv[i]));
   }
   for (std::int64_t i = 0; i < p_.wproj.numel(); ++i) {
-    wp_max_ = std::max(wp_max_, p_.wproj[i] < 0 ? -p_.wproj[i] : p_.wproj[i]);
+    wp_max_ = std::max(wp_max_, abs_sat(p_.wproj[i]));
   }
   // Both projections consume W as B^T ([rows=out, cols=in] row-major), the
   // same orientation IntLinearOp packs. Panels are only built when the

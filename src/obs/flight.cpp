@@ -97,6 +97,11 @@ void FlightRing::set_name(const char* n) {
   name_[i] = '\0';
 }
 
+// Lock-free atomics are what make a slot readable from a signal handler.
+static_assert(std::atomic<double>::is_always_lock_free &&
+                  std::atomic<std::uint64_t>::is_always_lock_free,
+              "flight slots must be lock-free atomics");
+
 void FlightRing::push(const FlightEvent& e) {
   const std::uint64_t h = head_.load(std::memory_order_relaxed);
   Slot& s = slots_[h & (kCapacity - 1)];
@@ -104,28 +109,26 @@ void FlightRing::push(const FlightEvent& e) {
   // that see an odd value or a changed value skip the slot.
   s.seq.store(2 * h + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
-  s.e = e;
+  s.t_ns.store(e.t_ns, std::memory_order_relaxed);
+  s.value.store(e.value, std::memory_order_relaxed);
+  s.req.store(e.req, std::memory_order_relaxed);
+  s.key.store(e.key, std::memory_order_relaxed);
+  s.kind.store(e.kind, std::memory_order_relaxed);
   s.seq.store(2 * (h + 1), std::memory_order_release);
   head_.store(h + 1, std::memory_order_release);
 }
 
-std::size_t FlightRing::read_last(FlightEvent* out,
-                                  std::size_t max_out) const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  const std::uint64_t avail = h < kCapacity ? h : kCapacity;
-  std::uint64_t want = avail < max_out ? avail : max_out;
-  std::size_t n = 0;
-  // Oldest first among the newest `want` pushes.
-  for (std::uint64_t i = h - want; i < h; ++i) {
-    const Slot& s = slots_[i & (kCapacity - 1)];
-    const std::uint64_t seq0 = s.seq.load(std::memory_order_acquire);
-    if (seq0 != 2 * (i + 1)) continue;  // torn or already overwritten
-    FlightEvent e = s.e;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != seq0) continue;  // torn
-    out[n++] = e;
-  }
-  return n;
+bool FlightRing::read_slot(std::uint64_t i, FlightEvent& e) const {
+  const Slot& s = slots_[i & (kCapacity - 1)];
+  const std::uint64_t seq0 = s.seq.load(std::memory_order_acquire);
+  if (seq0 != 2 * (i + 1)) return false;  // torn, overwritten or unwritten
+  e.t_ns = s.t_ns.load(std::memory_order_relaxed);
+  e.value = s.value.load(std::memory_order_relaxed);
+  e.req = s.req.load(std::memory_order_relaxed);
+  e.key = s.key.load(std::memory_order_relaxed);
+  e.kind = s.kind.load(std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return s.seq.load(std::memory_order_relaxed) == seq0;
 }
 
 void FlightRing::reset_for_test() {
@@ -141,22 +144,20 @@ void FlightRing::reset_for_test() {
 // registry at any moment without coordinating with thread exit. An exiting
 // thread releases its ring instead, and a later thread claims a released
 // slot before growing the registry — so churn (pool rebuilds, short-lived
-// clients) doesn't exhaust the table; only more than kMaxRings *live*
+// clients) doesn't exhaust the table; only more than kFlightMaxRings *live*
 // threads loses recording on the excess ones (counted in lost_threads,
 // visible in bundles). A released ring's events stay readable until the
 // slot is reclaimed and overwritten.
 
 namespace {
 
-constexpr int kMaxRings = 192;
-std::atomic<FlightRing*> g_rings[kMaxRings];
+std::atomic<FlightRing*> g_rings[kFlightMaxRings];
 std::atomic<int> g_nrings{0};
 std::atomic<int> g_lost_threads{0};
 std::atomic<std::uint64_t> g_steps{0};
 
 FlightRing* make_ring(const char* name) {
-  const int n = g_nrings.load(std::memory_order_acquire);
-  const int scan = n < kMaxRings ? n : kMaxRings;
+  const int scan = flight_ring_count();
   for (int i = 0; i < scan; ++i) {
     FlightRing* r = g_rings[i].load(std::memory_order_acquire);
     if (r != nullptr && r->try_claim()) {
@@ -165,8 +166,8 @@ FlightRing* make_ring(const char* name) {
     }
   }
   const int slot = g_nrings.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= kMaxRings) {
-    g_nrings.store(kMaxRings, std::memory_order_relaxed);
+  if (slot >= kFlightMaxRings) {
+    g_nrings.store(kFlightMaxRings, std::memory_order_relaxed);
     g_lost_threads.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -196,6 +197,15 @@ FlightRing* ring_for_thread(const char* name) {
 }
 
 }  // namespace
+
+int flight_ring_count() {
+  const int n = g_nrings.load(std::memory_order_acquire);
+  return n < kFlightMaxRings ? n : kFlightMaxRings;
+}
+
+const FlightRing* flight_ring(int i) {
+  return g_rings[i].load(std::memory_order_acquire);
+}
 
 void flight_record(FlightKind kind, std::uint32_t key, double value) {
   FlightRing* r = ring_for_thread(nullptr);
@@ -262,10 +272,9 @@ std::size_t flight_active_requests(FlightActiveRequest* out,
 
 FlightStats flight_stats() {
   FlightStats st;
-  const int n = g_nrings.load(std::memory_order_acquire);
-  st.rings = n < kMaxRings ? n : kMaxRings;
+  st.rings = flight_ring_count();
   for (int i = 0; i < st.rings; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+    const FlightRing* r = flight_ring(i);
     if (r == nullptr) continue;
     st.recorded += r->pushes();
     st.overwritten += r->overwritten();
@@ -281,25 +290,24 @@ std::uint64_t flight_dropped_total() {
 }
 
 std::size_t flight_collect(FlightTaggedEvent* out, std::size_t cap) {
-  if (cap == 0) return 0;
   std::size_t n = 0;
-  const int nrings = g_nrings.load(std::memory_order_acquire);
-  const int limit = nrings < kMaxRings ? nrings : kMaxRings;
-  FlightEvent scratch[FlightRing::kCapacity];
-  for (int i = 0; i < limit; ++i) {
-    FlightRing* r = g_rings[i].load(std::memory_order_acquire);
+  const int nrings = flight_ring_count();
+  for (int i = 0; i < nrings; ++i) {
+    const FlightRing* r = flight_ring(i);
     if (r == nullptr) continue;
-    const std::size_t per_ring =
-        cap < FlightRing::kCapacity ? cap : FlightRing::kCapacity;
-    const std::size_t got = r->read_last(scratch, per_ring);
-    for (std::size_t j = 0; j < got; ++j) {
-      FlightTaggedEvent te;
-      te.e = scratch[j];
-      te.thread = r->name();
+    // Each ring's newest `cap` pushes, read slot by slot straight into the
+    // merge: this runs on the 64 KiB signal stack, which a per-ring copy
+    // of a full ring would fill.
+    const std::uint64_t h = r->pushes();
+    const std::uint64_t span = h < cap ? h : cap;
+    FlightTaggedEvent te;
+    te.thread = r->name();
+    for (std::uint64_t j = h - span; j < h; ++j) {
+      if (!r->read_slot(j, te.e)) continue;
       if (n < cap) {
         // Insertion sort by timestamp keeps the merged view oldest-first;
-        // rings are small and cap is ~100, so quadratic cost is fine for a
-        // crash path that runs once.
+        // cap is ~100, so quadratic cost is fine for a crash path that
+        // runs once.
         std::size_t k = n;
         while (k > 0 && out[k - 1].e.t_ns > te.e.t_ns) {
           out[k] = out[k - 1];
@@ -322,9 +330,8 @@ std::size_t flight_collect(FlightTaggedEvent* out, std::size_t cap) {
 }
 
 void flight_clear_for_test() {
-  const int n = g_nrings.load(std::memory_order_acquire);
-  const int limit = n < kMaxRings ? n : kMaxRings;
-  for (int i = 0; i < limit; ++i) {
+  const int n = flight_ring_count();
+  for (int i = 0; i < n; ++i) {
     FlightRing* r = g_rings[i].load(std::memory_order_acquire);
     if (r != nullptr) r->reset_for_test();
   }

@@ -1,15 +1,19 @@
-// Black-box flight recorder (DESIGN.md §3.13).
+// Per-thread event stream and black-box flight recorder (DESIGN.md §3.10,
+// §3.13).
 //
-// The telemetry plane (telemetry.h) answers "what are the aggregates over
-// the last minutes"; its rings *drop* when full because a live aggregator
-// is always draining them. A postmortem needs the opposite retention
-// policy: when the process dies, what matters is the *most recent* history
-// of every thread — so the flight recorder keeps per-thread overwriting
-// rings (newest wins, oldest evicted) that nobody drains. Each slot
-// carries a seqlock-style sequence number published after the payload, so
-// the crash-time reader — which may run on another thread, inside a
-// signal handler, mid-push — can detect and skip torn slots instead of
-// emitting garbage.
+// Every instrumented step, saturation count, request boundary and pool
+// region is recorded exactly once, into the calling thread's overwriting
+// ring (newest wins, oldest evicted). The ring has two kinds of reader:
+//   * the telemetry aggregator (telemetry.h) keeps one cursor per ring and
+//     reads [cursor, head) every tick, counting slots that were overwritten
+//     before it got to them as dropped;
+//   * the crash-time reader (crash.h) reads the newest events of every
+//     ring, possibly from a signal handler on another thread, mid-push.
+// Each slot carries a seqlock-style sequence number published after the
+// payload, so either reader can detect and skip torn slots instead of
+// emitting garbage. The payload itself is stored and loaded as relaxed
+// atomics (ordinary moves on x86), so a live reader racing the producer is
+// well-defined.
 //
 // Everything the crash handler touches is engineered for async-signal
 // safety:
@@ -44,9 +48,10 @@ inline bool flight_enabled() {
 /// callers that want the recorder without the signal handlers.
 void set_flight_enabled(bool on);
 
-/// What one flight event records. Richer than TeleKind: the black box also
-/// marks request boundaries and pool regions so a postmortem shows the
-/// causal shape of the final milliseconds, not just step latencies.
+/// What one event records. The telemetry aggregator reads kStep,
+/// kRequestDone and kSaturation; the black box additionally marks request
+/// starts and pool regions so a postmortem shows the causal shape of the
+/// final milliseconds, not just step latencies.
 enum class FlightKind : std::uint8_t {
   kStep = 0,
   kRequestStart = 1,
@@ -86,14 +91,38 @@ const char* flight_key_name(std::uint32_t id);
 /// and skip slots torn by an in-flight push.
 class FlightRing {
  public:
-  static constexpr std::size_t kCapacity = 256;  // power of two
+  static constexpr std::size_t kCapacity = 2048;  // power of two
 
   void push(const FlightEvent& e);
 
-  /// Copies up to `max_out` of the newest events into `out`, oldest first.
-  /// Safe to call from any thread / signal context; torn slots are
-  /// skipped. Returns the number copied.
-  std::size_t read_last(FlightEvent* out, std::size_t max_out) const;
+  /// Loads push number `i` into `e`. False when that push was overwritten,
+  /// is torn by a concurrent push, or has not happened yet. Safe from any
+  /// thread and from a signal handler.
+  bool read_slot(std::uint64_t i, FlightEvent& e) const;
+
+  /// Hands every push numbered `cursor` or later to `visit(const
+  /// FlightEvent&)`, oldest first, moves `cursor` to the head it read up
+  /// to, and returns how many of those pushes were lost — overwritten or
+  /// torn before they could be read. Read plus lost always equals the
+  /// pushes the cursor advanced over.
+  template <class Visit>
+  std::uint64_t read_since(std::uint64_t& cursor, Visit&& visit) const {
+    const std::uint64_t h = pushes();
+    if (cursor > h) cursor = h;  // ring reset under the reader (tests)
+    const std::uint64_t first =
+        h - cursor > kCapacity ? h - kCapacity : cursor;
+    std::uint64_t lost = first - cursor;
+    FlightEvent e;
+    for (std::uint64_t i = first; i < h; ++i) {
+      if (read_slot(i, e)) {
+        visit(e);
+      } else {
+        ++lost;
+      }
+    }
+    cursor = h;
+    return lost;
+  }
 
   std::uint64_t pushes() const {
     return head_.load(std::memory_order_acquire);
@@ -126,7 +155,11 @@ class FlightRing {
     // seq == 0: empty; odd: write in progress; even > 0: published, the
     // payload belongs to push number (seq/2 - 1).
     std::atomic<std::uint64_t> seq{0};
-    FlightEvent e;
+    std::atomic<std::int64_t> t_ns{0};
+    std::atomic<double> value{0.0};
+    std::atomic<std::uint64_t> req{0};
+    std::atomic<std::uint32_t> key{0};
+    std::atomic<FlightKind> kind{FlightKind::kMark};
   };
   Slot slots_[kCapacity];
   std::atomic<std::uint64_t> head_{0};  ///< producer-owned push count
@@ -134,9 +167,23 @@ class FlightRing {
   char name_[32] = "thread";
 };
 
-/// Records one event into the calling thread's flight ring, creating and
-/// registering the ring on first use (cold). Callers gate on
-/// flight_enabled(). Never blocks, never allocates after registration.
+/// Most rings the registry holds; threads beyond it record nothing (counted
+/// in FlightStats::lost_threads).
+constexpr int kFlightMaxRings = 192;
+
+/// Registered ring slots so far (at most kFlightMaxRings), and the ring in
+/// slot `i` (nullptr while its registration is still publishing). A slot
+/// never changes ring and rings are never freed, so readers may keep
+/// per-slot state such as the telemetry aggregator's cursors. Lock-free,
+/// async-signal-safe.
+int flight_ring_count();
+const FlightRing* flight_ring(int i);
+
+/// Records one event into the calling thread's ring, creating and
+/// registering the ring on first use (cold). Callers gate kinds the
+/// telemetry aggregator reads on `flight_enabled() || telemetry_enabled()`
+/// and the others on flight_enabled(). Never blocks, never allocates after
+/// registration.
 void flight_record(FlightKind kind, std::uint32_t key, double value);
 
 /// Eagerly creates/names the calling thread's ring so the first recorded

@@ -248,10 +248,10 @@ std::string render_prometheus() {
     f.samples.push_back(fam + " " + json_num(v));
   };
   scalar("t2c_tele_events_total", "counter",
-         "Telemetry events drained from the rings.",
+         "Telemetry events read from the rings.",
          static_cast<double>(tele.events_total));
   scalar("t2c_tele_dropped_total", "counter",
-         "Telemetry events dropped by full rings.",
+         "Telemetry events overwritten before they were read.",
          static_cast<double>(tele.dropped_total));
   scalar("t2c_requests_started_total", "counter",
          "RequestScope contexts opened.",
@@ -354,7 +354,7 @@ void append_request_json(std::ostringstream& os, const RequestRecord& r,
   for (const TrailStep& st : r.trail) {
     if (!first) os << ',';
     first = false;
-    os << "{\"op\":\"" << json_escape(telemetry_key_name(st.key))
+    os << "{\"op\":\"" << json_escape(flight_key_name(st.key))
        << "\",\"at_ms\":"
        << json_num(static_cast<double>(st.t_ns - t0) / 1e6)
        << ",\"ms\":" << json_num(st.ms) << "}";

@@ -29,7 +29,7 @@
 // thread, one request per connection, response closed immediately —
 // exactly what a Prometheus scraper (or curl) needs and nothing more. It
 // shares no locks with the inference hot path; a scrape costs one
-// registry snapshot and one telemetry drain.
+// registry snapshot and one read of the telemetry rings.
 #pragma once
 
 #include <atomic>

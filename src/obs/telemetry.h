@@ -6,14 +6,16 @@
 // needs the opposite: what happened in the last 10 seconds, scraped while
 // the process runs. This module provides that substrate:
 //
-//   producer side   lock-free per-thread SPSC event rings (fixed capacity,
-//                   drop-counted, zero allocations per event) — many
-//                   threads produce, one consumer drains, so the plane as
-//                   a whole is an MPSC channel;
-//   consumer side   a background aggregator thread draining the rings into
-//                   log-bucketed sliding-window histograms (ring of
-//                   sub-window buckets) giving p50/p95/p99/rate over the
-//                   last 10 s / 1 m / 5 m per series;
+//   producer side   the flight recorder's per-thread overwriting rings
+//                   (flight.h): one fixed-size event per step, saturation
+//                   count or request completion, zero allocations per
+//                   event — many threads produce, one aggregator reads;
+//   consumer side   a background aggregator thread reading each ring from
+//                   its own cursor into log-bucketed sliding-window
+//                   histograms (ring of sub-window buckets) giving
+//                   p50/p95/p99/rate over the last 10 s / 1 m / 5 m per
+//                   series; slots overwritten before it reads them count
+//                   as dropped;
 //   attribution     RequestScope RAII ids stamped on every event (and on
 //                   trace spans), so tail latency and saturation attach to
 //                   a request, not the process;
@@ -21,8 +23,9 @@
 //                   the exporter's /healthz.
 //
 // Collection is gated on `telemetry_enabled()` (default off) with the same
-// one-relaxed-load discipline as metrics/trace/profile: the disabled
-// deploy hot path never touches a ring (pinned by the alloc-count tests).
+// one-relaxed-load discipline as metrics/trace/profile: with telemetry and
+// the flight recorder both off, the deploy hot path never touches a ring
+// (pinned by the alloc-count tests).
 // All timestamps come from the repo-wide monotonic clock
 // (util/stopwatch.h) — never the wall clock.
 #pragma once
@@ -33,12 +36,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/flight.h"
 #include "util/stopwatch.h"
 
 namespace t2c::obs {
@@ -53,93 +56,6 @@ inline bool telemetry_enabled() {
 /// Normally flipped by TelemetryHub::start()/stop(); exposed for tests
 /// that exercise the ring/record path without an aggregator thread.
 void set_telemetry_enabled(bool on);
-
-/// What one event measures. The aggregator fans kinds into series:
-/// kStep feeds both its own per-op series and the "deploy.step.latency"
-/// aggregate; kRequestDone feeds "request.latency" and closes the
-/// request's attribution record; kSaturation adds clipped-value counts to
-/// its series and to the owning request.
-enum class TeleKind : std::uint8_t {
-  kStep = 0,
-  kRequestDone = 1,
-  kSaturation = 2,
-};
-
-/// One fixed-size event. No owned memory: the series name is an interned
-/// id (telemetry_key), resolved back to a string by the aggregator.
-struct TeleEvent {
-  std::int64_t t_ns = 0;   ///< mono_now_ns() at record time
-  double value = 0.0;      ///< latency ms (kStep/kRequestDone) or count
-  std::uint64_t req = 0;   ///< current_request() at record time; 0 = none
-  std::uint32_t key = 0;   ///< interned series name
-  TeleKind kind = TeleKind::kStep;
-};
-
-/// Interns `name`, returning a stable id for TeleEvent::key. Cold path
-/// (takes a lock, may allocate): call at plan-compile / handle-resolve
-/// time, never per event. The same name always returns the same id.
-std::uint32_t telemetry_key(const std::string& name);
-
-/// Resolves an interned id back to its name ("tele.unknown" for ids
-/// never interned). Cold path (takes the interner lock); used by the
-/// /exemplars and /requests/<id> renderers to name trail steps.
-std::string telemetry_key_name(std::uint32_t id);
-
-/// Fixed-capacity single-producer single-consumer event ring. The owning
-/// thread pushes; the aggregator (serialized by the hub mutex) drains.
-/// A full ring drops the event and counts it — the hot path never blocks
-/// and never allocates.
-class EventRing {
- public:
-  static constexpr std::size_t kCapacity = 2048;  // power of two
-
-  /// Producer side. Returns false (and counts a drop) when full.
-  bool push(const TeleEvent& e) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail >= kCapacity) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    buf_[head & (kCapacity - 1)] = e;
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side (hub-mutex serialized): moves every pending event into
-  /// `out` (appended) and returns how many were drained.
-  std::size_t drain(std::vector<TeleEvent>& out);
-
-  std::int64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-  std::size_t pending() const {
-    return static_cast<std::size_t>(head_.load(std::memory_order_acquire) -
-                                    tail_.load(std::memory_order_acquire));
-  }
-
-  /// Marks the producer thread gone; the hub frees the ring once drained.
-  void retire() { retired_.store(true, std::memory_order_release); }
-  bool retired() const { return retired_.load(std::memory_order_acquire); }
-
- private:
-  std::array<TeleEvent, kCapacity> buf_;
-  std::atomic<std::uint64_t> head_{0};  ///< producer-owned
-  std::atomic<std::uint64_t> tail_{0};  ///< consumer-owned
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<bool> retired_{false};
-};
-
-/// Records one event into the calling thread's ring. Callers gate on
-/// telemetry_enabled(); the only allocation ever made is the thread's
-/// ring itself, created on first use (or eagerly for pool workers via
-/// telemetry_register_thread()).
-void telemetry_record(TeleKind kind, std::uint32_t key, double value);
-
-/// Eagerly creates and registers the calling thread's event ring so the
-/// first recorded event is allocation-free. Pool workers call this at
-/// startup (core/parallel.cpp).
-void telemetry_register_thread();
 
 /// Stall-watchdog heartbeat: the planned executor calls this after every
 /// completed step (two relaxed stores). /healthz reports unhealthy when
@@ -156,7 +72,8 @@ std::uint64_t current_request();
 
 /// RAII request context: assigns a process-unique id, makes it the
 /// calling thread's current request, and on destruction records the
-/// request's wall latency as a kRequestDone event (when telemetry is on).
+/// request's wall latency as a kRequestDone event (when telemetry or the
+/// flight recorder is on).
 /// Scopes nest; the previous id is restored on exit.
 class RequestScope {
  public:
@@ -237,7 +154,7 @@ class SlidingWindow {
 
 /// One per-op step on a request's causal trail (bounded; see kTrailCap).
 struct TrailStep {
-  std::uint32_t key = 0;   ///< interned series name (telemetry_key)
+  std::uint32_t key = 0;   ///< interned series name (flight_key)
   std::int64_t t_ns = 0;   ///< completion timestamp
   double ms = 0.0;         ///< step latency
 };
@@ -263,7 +180,7 @@ struct TeleExemplar {
 };
 
 /// Point-in-time digest of the whole plane, taken under the hub mutex
-/// after an on-demand drain — a scrape never waits for the next
+/// after an on-demand ring read — a scrape never waits for the next
 /// aggregator tick.
 struct TelemetrySnapshot {
   struct Series {
@@ -279,8 +196,8 @@ struct TelemetrySnapshot {
     std::vector<TeleExemplar> exemplars;  ///< parallel to buckets_5m
   };
   std::vector<Series> series;  ///< sorted by name
-  std::int64_t events_total = 0;    ///< drained events, monotone
-  std::int64_t dropped_total = 0;   ///< ring drops, monotone
+  std::int64_t events_total = 0;    ///< events read, monotone
+  std::int64_t dropped_total = 0;   ///< events overwritten unread, monotone
   std::uint64_t requests_started = 0;
   std::uint64_t requests_done = 0;
   std::vector<RequestRecord> recent_requests;  ///< newest last, bounded
@@ -290,19 +207,21 @@ struct TelemetrySnapshot {
   std::int64_t taken_ns = 0;  ///< mono_now_ns() of the snapshot
 };
 
-/// The plane's owner: ring registry, aggregator thread, window store,
+/// The plane's owner: ring cursors, aggregator thread, window store,
 /// watchdog state, and the request-attribution table.
 class TelemetryHub {
  public:
-  /// Starts the aggregator thread and enables collection. Idempotent.
+  /// Moves every ring cursor to its ring's head, starts the aggregator
+  /// thread and enables collection: events recorded before the plane
+  /// started are never aggregated. Idempotent.
   void start();
-  /// Disables collection, drains every ring one last time, and joins the
-  /// aggregator. Idempotent.
+  /// Disables collection, joins the aggregator, and reads every ring one
+  /// last time. Idempotent.
   void stop();
   bool running() const;
 
-  /// Drains all rings and digests every series (on-demand; also what the
-  /// aggregator does every tick).
+  /// Reads every ring from its cursor (while collection is enabled) and
+  /// digests every series (on-demand; the aggregator reads every tick).
   TelemetrySnapshot snapshot();
 
   /// Watchdog: false when steps have run but none completed within
@@ -341,14 +260,11 @@ class TelemetryHub {
     return last_step_key_.load(std::memory_order_relaxed);
   }
 
-  /// Drops every window, request record, and counter (test isolation).
-  /// Rings stay registered; enabled state is preserved.
+  /// Drops every window, request record, and counter, and moves every
+  /// ring cursor to its ring's head (test isolation). Enabled state is
+  /// preserved.
   void clear();
 
-  // Internal producer-side hooks (see free functions above). The hub and
-  // the owning thread each hold a reference, so a ring safely outlives
-  // whichever goes away first.
-  std::shared_ptr<EventRing> register_thread_ring();
   // Request start/done counters live outside the ring: they are bumped by
   // RequestScope directly, so a dropped kRequestDone event loses only its
   // latency sample — the started/done/active arithmetic stays exact.
@@ -359,14 +275,15 @@ class TelemetryHub {
   friend TelemetryHub& telemetry();
   TelemetryHub();  ///< reads T2C_STALL_MS for the watchdog default
 
-  void aggregate_locked(const std::vector<TeleEvent>& events);
-  void drain_all_locked();
+  void aggregate_locked(const FlightEvent& e);
+  void read_rings_locked();
+  void skip_to_heads_locked();
   void sample_proc_gauges();
   void aggregator_main();
 
   mutable std::mutex mu_;
-  std::vector<std::shared_ptr<EventRing>> rings_;
-  std::vector<TeleEvent> scratch_;  ///< drain buffer, reused every tick
+  /// Next push to read, per flight registry slot (flight_ring(i)).
+  std::array<std::uint64_t, kFlightMaxRings> cursors_{};
   std::map<std::string, SlidingWindow> windows_;
   std::map<std::uint64_t, RequestRecord> active_requests_;
   std::vector<RequestRecord> recent_requests_;  ///< bounded FIFO
@@ -375,7 +292,7 @@ class TelemetryHub {
   std::array<TeleExemplar, SlidingWindow::kBuckets> request_exemplars_{};
   std::function<void(double)> stall_action_;  ///< under mu_
   std::int64_t events_total_ = 0;
-  std::int64_t dropped_drained_ = 0;  ///< drops from retired, freed rings
+  std::int64_t dropped_total_ = 0;
   std::atomic<std::uint64_t> requests_started_{0};
   std::atomic<std::uint64_t> requests_done_{0};
   std::atomic<std::int64_t> last_step_ns_{-1};  ///< -1 = no step ever

@@ -10,6 +10,7 @@ namespace t2c {
 void ConvSpec::validate() const {
   check(in_channels > 0 && out_channels > 0, "ConvSpec: channels must be > 0");
   check(kernel > 0 && stride > 0 && padding >= 0, "ConvSpec: bad geometry");
+  check(padding < kernel, "ConvSpec: padding must be smaller than kernel");
   check(groups > 0 && in_channels % groups == 0 && out_channels % groups == 0,
         "ConvSpec: groups must divide both channel counts");
 }

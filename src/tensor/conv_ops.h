@@ -21,10 +21,14 @@ struct ConvSpec {
   int padding = 0;
   int groups = 1;
 
+  /// In int64: a checkpoint may carry any int padding.
   std::int64_t out_hw(std::int64_t in_hw) const {
-    return (in_hw + 2 * padding - kernel) / stride + 1;
+    return (in_hw + 2 * static_cast<std::int64_t>(padding) - kernel) /
+               stride +
+           1;
   }
-  /// Validates divisibility constraints; throws on violation.
+  /// Validates geometry (padding smaller than the kernel) and divisibility
+  /// constraints; throws on violation.
   void validate() const;
 };
 

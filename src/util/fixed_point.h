@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace t2c {
@@ -44,5 +45,14 @@ std::vector<std::int64_t> to_fixed(const std::vector<double>& xs,
 /// This is exactly the datapath MulQuant implements in hardware.
 std::int64_t fixed_mul_shift(std::int64_t acc, std::int64_t raw_mul,
                              int frac_bits);
+
+/// |v| saturated at INT64_MAX. Negating INT64_MIN is undefined, so every
+/// magnitude of a checkpoint-supplied integer goes through this.
+constexpr std::int64_t abs_sat(std::int64_t v) {
+  if (v == std::numeric_limits<std::int64_t>::min()) {
+    return std::numeric_limits<std::int64_t>::max();
+  }
+  return v < 0 ? -v : v;
+}
 
 }  // namespace t2c

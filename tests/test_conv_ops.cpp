@@ -3,6 +3,9 @@
 // against central differences.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "tensor/conv_ops.h"
 #include "tensor/elementwise.h"
 #include "test_util.h"
@@ -74,6 +77,24 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{4, 8, 3, 2, 1, 2},   // grouped strided
                       ConvCase{3, 2, 5, 1, 2, 1},   // 5x5
                       ConvCase{3, 6, 4, 4, 0, 1})); // patchify (k == stride)
+
+TEST(ConvOps, GeometryIsInt64AndPaddingStaysBelowKernel) {
+  ConvSpec s;
+  s.in_channels = s.out_channels = 1;
+  s.kernel = std::numeric_limits<int>::max();
+  s.padding = s.kernel - 1;
+  EXPECT_NO_THROW(s.validate());
+  // 2 * padding exceeds int; the output size is computed in int64.
+  EXPECT_EQ(s.out_hw(8), 8 + 2 * static_cast<std::int64_t>(s.padding) -
+                             s.kernel + 1);
+  s.padding = s.kernel;
+  try {
+    s.validate();
+    ADD_FAILURE() << "padding == kernel accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("padding"), std::string::npos);
+  }
+}
 
 TEST(ConvOps, BiasIsAddedPerChannel) {
   ConvSpec s;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "deploy/int_ops.h"
 #include "deploy/vit_ops.h"
@@ -114,6 +115,31 @@ TEST(IntOps, AttentionRejectsZeroHeads) {
   EXPECT_THROW(IntAttentionOp{p}, Error);
   p.heads = 2;
   EXPECT_NO_THROW(IntAttentionOp{p});
+}
+
+TEST(IntOps, AttentionInt64MinWeightStaysOnWideKernel) {
+  IntAttentionParams p;
+  p.heads = 2;
+  p.wqkv = ITensor({6, 2});
+  p.wproj = ITensor({2, 2});
+  p.qkv_mul = p.qkv_bias = std::vector<std::int64_t>(6, 1);
+  p.proj_mul = p.proj_bias = std::vector<std::int64_t>(2, 1);
+  p.softmax_lut = {255, 1};
+  p.wqkv[0] = 1;
+  p.wproj[0] = 1;
+  IntAttentionOp narrow{p};
+  narrow.set_input_bound(127);
+  EXPECT_EQ(narrow.kernel(), "attn_i16");  // control: small weights narrow
+  // |INT64_MIN| does not fit int64: the weight maxima saturate instead of
+  // negating it (UB), and the saturated magnitude keeps the int64 kernel.
+  for (ITensor* w : {&p.wqkv, &p.wproj}) {
+    const ITensor saved = *w;
+    (*w)[0] = std::numeric_limits<std::int64_t>::min();
+    IntAttentionOp op{p};
+    op.set_input_bound(127);
+    EXPECT_NE(op.kernel(), "attn_i16");
+    *w = saved;
+  }
 }
 
 TEST(IntOps, TokenizeMatchesPatchLayout) {

@@ -2,12 +2,14 @@
 // async-signal-safe JSON writer (round-trips, hostile labels, zero
 // allocations, truncation that stays parseable), the per-thread seqlock
 // rings (overwrite-oldest retention, torn-slot skipping via the sequence
-// protocol), the signal-safe key table, the active-request table, the
-// cross-ring collector, the disabled hot path staying allocation-free,
-// and the postmortem writer — from normal context and from a forked
-// child dying on a real SIGSEGV.
+// protocol, reuse across pool rebuilds), the signal-safe key table, the
+// active-request table, the cross-ring collector, the disabled hot path
+// staying allocation-free, and the postmortem writer — from normal
+// context, from a thread with an alternate-stack-sized stack, and from a
+// forked child dying on a real SIGSEGV.
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -15,6 +17,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -226,7 +229,7 @@ TEST_F(FlightTest, KeyInterningIsStableAndTruncates) {
 }
 
 TEST_F(FlightTest, RingOverwritesOldestKeepsNewest) {
-  obs::FlightRing ring;
+  const auto ring = std::make_unique<obs::FlightRing>();
   const std::size_t n = obs::FlightRing::kCapacity + 44;
   for (std::size_t i = 0; i < n; ++i) {
     obs::FlightEvent e;
@@ -234,25 +237,36 @@ TEST_F(FlightTest, RingOverwritesOldestKeepsNewest) {
     e.value = static_cast<double>(i);
     e.key = 1;
     e.kind = obs::FlightKind::kMark;
-    ring.push(e);
+    ring->push(e);
   }
-  EXPECT_EQ(ring.pushes(), n);
-  EXPECT_EQ(ring.overwritten(), n - obs::FlightRing::kCapacity);
+  EXPECT_EQ(ring->pushes(), n);
+  EXPECT_EQ(ring->overwritten(), n - obs::FlightRing::kCapacity);
 
-  obs::FlightEvent out[obs::FlightRing::kCapacity];
-  const std::size_t got = ring.read_last(out, obs::FlightRing::kCapacity);
-  ASSERT_EQ(got, obs::FlightRing::kCapacity);
   // Oldest-first, and exactly the newest kCapacity of the n pushes.
-  for (std::size_t i = 0; i < got; ++i) {
-    EXPECT_EQ(out[i].t_ns,
+  std::vector<std::int64_t> got;
+  const auto collect = [&](const obs::FlightEvent& e) {
+    got.push_back(e.t_ns);
+  };
+  std::uint64_t cursor = 0;
+  ring->read_since(cursor, collect);
+  ASSERT_EQ(got.size(), obs::FlightRing::kCapacity);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i],
               static_cast<std::int64_t>(n - obs::FlightRing::kCapacity + i));
   }
-  // A bounded read returns the newest `max_out`, still oldest-first.
-  obs::FlightEvent tail[8];
-  const std::size_t few = ring.read_last(tail, 8);
-  ASSERT_EQ(few, 8u);
-  EXPECT_EQ(tail[7].t_ns, static_cast<std::int64_t>(n - 1));
-  EXPECT_EQ(tail[0].t_ns, static_cast<std::int64_t>(n - 8));
+  // Overwritten slots refuse a direct read instead of returning the
+  // newer payload that now occupies them.
+  obs::FlightEvent e;
+  EXPECT_FALSE(ring->read_slot(0, e));
+  ASSERT_TRUE(ring->read_slot(n - 1, e));
+  EXPECT_EQ(e.t_ns, static_cast<std::int64_t>(n - 1));
+  // A read from a recent cursor returns just the newest pushes.
+  got.clear();
+  cursor = n - 8;
+  ring->read_since(cursor, collect);
+  ASSERT_EQ(got.size(), 8u);
+  EXPECT_EQ(got[7], static_cast<std::int64_t>(n - 1));
+  EXPECT_EQ(got[0], static_cast<std::int64_t>(n - 8));
 }
 
 TEST_F(FlightTest, ActiveRequestTableClaimsAndReleases) {
@@ -310,6 +324,22 @@ TEST_F(FlightTest, CollectMergesRingsInTimeOrder) {
   EXPECT_GE(stats.recorded, 40u);
   EXPECT_GE(stats.rings, 2);
   EXPECT_GE(stats.steps, 20u);
+}
+
+TEST_F(FlightTest, PoolChurnReusesRings) {
+  const int saved_threads = par::max_threads();
+  const auto cycle = [] {
+    par::set_max_threads(4);
+    par::parallel_for(0, 64, 1, [](std::int64_t, std::int64_t, int) {});
+    par::set_max_threads(1);
+  };
+  // Warm-up registers one ring per worker; a rebuilt pool's workers claim
+  // the rings their exited predecessors released.
+  for (int i = 0; i < 3; ++i) cycle();
+  const int rings = obs::flight_stats().rings;
+  for (int i = 0; i < 50; ++i) cycle();
+  EXPECT_EQ(obs::flight_stats().rings, rings);
+  par::set_max_threads(saved_threads);
 }
 
 // ---- disabled hot path: zero allocations ----
@@ -428,6 +458,60 @@ TEST_F(FlightTest, WritePostmortemFromNormalContext) {
 
   obs::flight_request_end(slot);
   std::remove(path);
+  rmdir(dir.c_str());
+}
+
+// The SIGSEGV handler runs on the crash path's 64 KiB alternate stack, so
+// rendering a bundle from full rings must fit in one.
+TEST_F(FlightTest, PostmortemFitsOnAltStackSizedThread) {
+  const std::string dir = make_temp_dir();
+  ASSERT_FALSE(dir.empty());
+  obs::CrashConfig cfg;
+  cfg.dir = dir;
+  ASSERT_TRUE(obs::install_crash_handlers(cfg));
+  const std::uint32_t key = obs::flight_key("flight.test.altstack");
+  const auto fill = [key] {
+    for (std::size_t i = 0; i < 2 * obs::FlightRing::kCapacity; ++i) {
+      obs::flight_record(obs::FlightKind::kStep, key, 0.25);
+    }
+  };
+  fill();
+  std::thread other([&] {
+    obs::flight_register_thread("other");
+    fill();
+  });
+  other.join();
+
+  struct Job {
+    char path[512] = {0};
+    std::size_t bytes = 0;
+  } job;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 64 * 1024), 0);
+  pthread_t tid;
+  ASSERT_EQ(pthread_create(
+                &tid, &attr,
+                [](void* arg) -> void* {
+                  auto* j = static_cast<Job*>(arg);
+                  j->bytes = obs::write_postmortem("manual", 0.0, j->path,
+                                                   sizeof(j->path));
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(tid, nullptr), 0);
+  pthread_attr_destroy(&attr);
+
+  ASSERT_GT(job.bytes, 0u);
+  const JsonValue doc = parse_json(slurp_file(job.path));
+  EXPECT_EQ(doc.at("schema").str, "t2c.postmortem.v1");
+  const auto& events = doc.at("flight").at("events").array;
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.back().at("name").str, "flight.test.altstack");
+  EXPECT_GT(doc.at("flight").at("dropped").number, 0.0);
+
+  std::remove(job.path);
   rmdir(dir.c_str());
 }
 

@@ -1,5 +1,5 @@
-// Live telemetry-plane tests (DESIGN.md §3.10): event-ring push/drain and
-// drop accounting, sliding-window percentiles and aging, monotone window
+// Live telemetry-plane tests (DESIGN.md §3.10): cursor reads of the
+// per-thread event ring and loss accounting, sliding-window percentiles and aging, monotone window
 // boundaries under rapid scrapes, RequestScope nesting and attribution,
 // the Prometheus renderer's escaping + cumulative-bucket guarantees, the
 // stall watchdog, the embedded HTTP exporter under concurrent writers
@@ -107,31 +107,36 @@ double body_metric(const std::string& resp, const std::string& name) {
 
 // ---- event ring ----
 
-TEST_F(TelemetryTest, EventRingPushDrainDropAccounting) {
-  obs::EventRing ring;
-  obs::TeleEvent e;
-  e.kind = obs::TeleKind::kStep;
+TEST_F(TelemetryTest, RingCursorReadCountsOverwrittenAsLost) {
+  const auto ring = std::make_unique<obs::FlightRing>();
+  constexpr std::size_t kCap = obs::FlightRing::kCapacity;
+  obs::FlightEvent e;
+  e.kind = obs::FlightKind::kStep;
   const std::size_t extra = 100;
-  for (std::size_t i = 0; i < obs::EventRing::kCapacity + extra; ++i) {
+  for (std::size_t i = 0; i < kCap + extra; ++i) {
     e.value = static_cast<double>(i);
-    ring.push(e);
+    ring->push(e);
   }
-  EXPECT_EQ(ring.pending(), obs::EventRing::kCapacity);
-  EXPECT_EQ(ring.dropped(), static_cast<std::int64_t>(extra));
 
-  std::vector<obs::TeleEvent> out;
-  EXPECT_EQ(ring.drain(out), obs::EventRing::kCapacity);
-  ASSERT_EQ(out.size(), obs::EventRing::kCapacity);
-  // FIFO: the oldest events survive, the newest were dropped.
-  EXPECT_DOUBLE_EQ(out.front().value, 0.0);
-  EXPECT_DOUBLE_EQ(out.back().value,
-                   static_cast<double>(obs::EventRing::kCapacity - 1));
-  EXPECT_EQ(ring.pending(), 0u);
+  // A reader at cursor 0 gets the newest kCap events, oldest first; the
+  // `extra` oldest were overwritten before it read them.
+  std::uint64_t cursor = 0;
+  std::vector<double> got;
+  const auto collect = [&](const obs::FlightEvent& ev) {
+    got.push_back(ev.value);
+  };
+  EXPECT_EQ(ring->read_since(cursor, collect), extra);
+  ASSERT_EQ(got.size(), kCap);
+  EXPECT_DOUBLE_EQ(got.front(), static_cast<double>(extra));
+  EXPECT_DOUBLE_EQ(got.back(), static_cast<double>(kCap + extra - 1));
+  EXPECT_EQ(cursor, kCap + extra);
 
-  // Drained capacity is available again, drop count stays monotone.
-  ring.push(e);
-  EXPECT_EQ(ring.pending(), 1u);
-  EXPECT_EQ(ring.dropped(), static_cast<std::int64_t>(extra));
+  // From the new cursor, one more push reads as exactly one event.
+  got.clear();
+  ring->push(e);
+  EXPECT_EQ(ring->read_since(cursor, collect), 0u);
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(cursor, kCap + extra + 1);
 }
 
 // ---- sliding windows ----
@@ -185,8 +190,8 @@ TEST_F(TelemetryTest, SlidingWindowDigestsPercentilesPerWindow) {
 
 TEST_F(TelemetryTest, WindowBoundariesMonotoneUnderRapidSnapshots) {
   obs::set_telemetry_enabled(true);
-  static const std::uint32_t key = obs::telemetry_key("test.window.mono");
-  obs::telemetry_record(obs::TeleKind::kStep, key, 1.0);
+  static const std::uint32_t key = obs::flight_key("test.window.mono");
+  obs::flight_record(obs::FlightKind::kStep, key, 1.0);
   std::int64_t prev_taken = 0;
   std::int64_t prev_start = 0;
   std::int64_t prev_end = 0;
@@ -231,11 +236,12 @@ TEST_F(TelemetryTest, RequestScopeNestsAndRestores) {
 
 TEST_F(TelemetryTest, RequestCountersExactEvenWhenEventsDrop) {
   obs::set_telemetry_enabled(true);
-  // Overflow the calling thread's ring so kRequestDone events drop; the
-  // started/done counters must not drift (they bypass the ring).
-  static const std::uint32_t key = obs::telemetry_key("test.req.flood");
-  for (int i = 0; i < 3 * static_cast<int>(obs::EventRing::kCapacity); ++i) {
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.1);
+  // Overflow the calling thread's ring so events are overwritten before
+  // the aggregator reads them; the started/done counters must not drift
+  // (they bypass the ring).
+  static const std::uint32_t key = obs::flight_key("test.req.flood");
+  for (int i = 0; i < 3 * static_cast<int>(obs::FlightRing::kCapacity); ++i) {
+    obs::flight_record(obs::FlightKind::kStep, key, 0.1);
   }
   for (int i = 0; i < 10; ++i) {
     const obs::RequestScope req;
@@ -248,12 +254,12 @@ TEST_F(TelemetryTest, RequestCountersExactEvenWhenEventsDrop) {
 
 TEST_F(TelemetryTest, RequestAttributionJoinsStepsAndLatency) {
   obs::telemetry().start();
-  static const std::uint32_t key = obs::telemetry_key("test.req.steps");
+  static const std::uint32_t key = obs::flight_key("test.req.steps");
   {
     const obs::RequestScope req;
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.5);
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.5);
-    obs::telemetry_record(obs::TeleKind::kSaturation, key, 7.0);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.5);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.5);
+    obs::flight_record(obs::FlightKind::kSaturation, key, 7.0);
   }
   const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
   obs::telemetry().stop();
@@ -379,23 +385,22 @@ TEST_F(TelemetryTest, ConcurrentScrapesUnderProducerLoadStayConsistent) {
 
   constexpr int kWriters = 4;
   constexpr int kEventsPerWriter = 5000;
-  static const std::uint32_t key = obs::telemetry_key("test.scrape.load");
+  static const std::uint32_t key = obs::flight_key("test.scrape.load");
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&] {
-      obs::telemetry_register_thread();
+      obs::flight_register_thread();
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kEventsPerWriter; ++i) {
-        obs::telemetry_record(obs::TeleKind::kStep, key, 0.25);
+        obs::flight_record(obs::FlightKind::kStep, key, 0.25);
         obs::telemetry_note_step();
       }
     });
   }
-  // Per-ring drop counters are monotone across TelemetryHub::clear(), so
-  // conservation must be checked on deltas from this baseline.
+  // Conservation is checked on deltas from this baseline.
   const obs::TelemetrySnapshot before = obs::telemetry().snapshot();
   go.store(true, std::memory_order_release);
 
@@ -412,8 +417,8 @@ TEST_F(TelemetryTest, ConcurrentScrapesUnderProducerLoadStayConsistent) {
   exporter.stop();
   obs::telemetry().stop();
 
-  // Conservation: every produced event was either aggregated or dropped
-  // (drops of retired rings are banked before the rings are freed).
+  // Conservation: every produced event was either read by the aggregator
+  // or overwritten before it got there (counted as dropped).
   const obs::TelemetrySnapshot snap = obs::telemetry().snapshot();
   EXPECT_EQ((snap.events_total - before.events_total) +
                 (snap.dropped_total - before.dropped_total),
@@ -457,7 +462,7 @@ TEST_F(TelemetryTest, TelemetryHotPathAddsNoAllocations) {
   // Telemetry on: events are fixed-size pushes into a pre-built ring with
   // compile-time-interned keys — after the first run warms the thread's
   // ring, the instrumented path allocates exactly as much as the disabled
-  // one (ring-full drops included).
+  // one (overwrites included).
   obs::set_telemetry_enabled(true);
   (void)dm.run_int(q);  // warm: first push creates this thread's ring
   EXPECT_EQ(allocs_per_run(), baseline);
@@ -489,15 +494,15 @@ TEST_F(TelemetryTest, DigestBucketsSumMatchesDigestCount) {
 
 TEST_F(TelemetryTest, ExemplarsDecorateBucketsAndResolveToDetail) {
   obs::set_telemetry_enabled(true);
-  obs::telemetry_register_thread();
-  static const std::uint32_t key = obs::telemetry_key("test.exemplar.step");
+  obs::flight_register_thread();
+  static const std::uint32_t key = obs::flight_key("test.exemplar.step");
   std::uint64_t id = 0;
   {
     const obs::RequestScope req;
     id = obs::current_request();
     ASSERT_NE(id, 0u);
     for (int i = 0; i < 6; ++i) {
-      obs::telemetry_record(obs::TeleKind::kStep, key, 0.25 + 0.05 * i);
+      obs::flight_record(obs::FlightKind::kStep, key, 0.25 + 0.05 * i);
     }
   }
   const std::string prom = obs::render_prometheus();
@@ -526,8 +531,8 @@ TEST_F(TelemetryTest, ExemplarsDecorateBucketsAndResolveToDetail) {
 
 TEST_F(TelemetryTest, SlowReservoirKeepsSlowestWithTrails) {
   obs::set_telemetry_enabled(true);
-  obs::telemetry_register_thread();
-  static const std::uint32_t key = obs::telemetry_key("test.slow.step");
+  obs::flight_register_thread();
+  static const std::uint32_t key = obs::flight_key("test.slow.step");
   // More requests than reservoir slots; remember the slowest id. The
   // recorded latency tracks the loop index, so the last kSlowK are the
   // keepers.
@@ -535,7 +540,7 @@ TEST_F(TelemetryTest, SlowReservoirKeepsSlowestWithTrails) {
   for (int r = 0; r < 24; ++r) {
     const obs::RequestScope req;
     slowest = obs::current_request();
-    obs::telemetry_record(obs::TeleKind::kStep, key, 0.1);
+    obs::flight_record(obs::FlightKind::kStep, key, 0.1);
     // Stretch latency artificially: RequestScope measures wall time, so
     // sleep a hair longer each round.
     std::this_thread::sleep_for(std::chrono::microseconds(50 * (r + 1)));

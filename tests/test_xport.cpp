@@ -247,6 +247,17 @@ TEST(Checkpoint, NamesTheFieldOfTruncatedOrBadParameters) {
   expect_file_error("output 1 1\nops -1\n", {"ops", "negative length"});
 }
 
+TEST(Checkpoint, RejectsPaddingNotSmallerThanKernel) {
+  // `2 * padding` used to overflow int when the plan sized the output.
+  expect_load_error(
+      "op IntConv2d c 1 0\n3 2 1 1 2147483647 1\n4 2 3 1 1\n1 2 3 4 5 6\n",
+      {"ConvSpec", "padding"});
+  expect_load_error("op IntMaxPool2d p 1 0\n3 1 2147483647\n",
+                    {"IntMaxPool2d", "padding"});
+  expect_load_error("op IntMaxPool2d p 1 0\n2 2 2\n",
+                    {"IntMaxPool2d", "padding"});
+}
+
 TEST(Checkpoint, RejectsConvWeightThatDoesNotMatchItsSpec) {
   // The spec promises [2, 3, 1, 1]; the stored tensor holds [2, 1, 1, 1],
   // fewer than the packer would read.

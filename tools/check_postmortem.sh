@@ -9,10 +9,12 @@
 #      --postmortem accepts (schema, build_info, flight events, backtrace);
 #   2. forced stall    — --stall-ms 300 --stall-fatal --selftest-crash
 #      stall must escalate the watchdog to a stall bundle and abort;
-#   3. live exemplars  — a --serve-obs soak's mid-run /metrics scrape must
-#      carry at least one OpenMetrics exemplar on a latency histogram
-#      bucket, and an id pulled from /exemplars must resolve on
-#      /requests/<id>.
+#   3. live exemplars  — a --serve-obs soak with the flight recorder also
+#      on (--postmortem-dir), so the telemetry aggregator and the black
+#      box read the same rings: its mid-run /metrics scrape must carry at
+#      least one OpenMetrics exemplar on a latency histogram bucket and no
+#      series for the black-box-only kinds (pool.region, request.start),
+#      and an id pulled from /exemplars must resolve on /requests/<id>.
 set -e
 CLI="$1"
 CHECK="$2"
@@ -23,7 +25,7 @@ WORK="$3"
 }
 mkdir -p "$WORK"
 cd "$WORK"
-rm -rf pm_segv pm_stall cli_out segv.log stall.log soak.log live.prom
+rm -rf pm_segv pm_stall pm_soak cli_out segv.log stall.log soak.log live.prom
 
 # ---- leg 1: forced SIGSEGV -> signal bundle ----
 set +e
@@ -74,7 +76,7 @@ grep -q '"kind":"stall"' "$STALL_BUNDLE" || {
 
 # ---- leg 3: mid-soak exemplars resolving to request detail ----
 "$CLI" --model resnet20 --width 0.25 --epochs 1 --threads 4 --out cli_out \
-       --serve-obs 0 --loop 300000 > soak.log 2>&1 &
+       --postmortem-dir pm_soak --serve-obs 0 --loop 300000 > soak.log 2>&1 &
 CLI_PID=$!
 PORT=""
 i=0
@@ -106,6 +108,14 @@ grep -q 't2c_tele_latency_ms_bucket{.*} [0-9][0-9]* # {req="' live.prom || {
   echo "live.prom carries no OpenMetrics exemplar on a latency bucket" >&2
   exit 1
 }
+# Pool regions and request starts are recorded for the black box only;
+# the aggregator reading the same rings must not turn them into series.
+for kind in pool.region request.start; do
+  if grep -q "series=\"$kind\"" live.prom; then
+    echo "live.prom carries a $kind series from the flight-only kinds" >&2
+    exit 1
+  fi
+done
 
 # The reservoir churns while the soak runs: pull a fresh slowest-request
 # id and resolve it immediately, retrying a few times before failing.
